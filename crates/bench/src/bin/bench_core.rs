@@ -18,8 +18,9 @@
 //!   check so the speedup is never bought with a behavior change;
 //! * the `parallel` column inside `end_to_end` — the same grid-mode
 //!   scenario on the sharded conservative-sync engine (4 strips), digest-
-//!   checked against the serial run; its win is per-shard channel
-//!   bookkeeping amortized to epoch barriers (DESIGN.md §12);
+//!   checked against the serial run.  Both engines prune the channel at
+//!   the same epoch barriers, so the column measures strips alone
+//!   (DESIGN.md §12);
 //! * the `threaded` column — the sharded engine with 4 worker lanes
 //!   fanning the host-plane kernels out over real threads (DESIGN.md
 //!   §14), digest-checked too.  Its wall time only beats the sharded
@@ -31,18 +32,22 @@
 //! cargo run --release -p ecgrid-bench --bin bench_core -- --quick --check --out BENCH_core.json
 //! ```
 //!
-//! `--quick` shrinks repetitions and the simulated horizon and caps the
-//! ladder at N = 1000 for CI; the measured ratios are the same, just
-//! noisier.  `--check` turns the report into a regression gate: exit 1
-//! unless digests match at every scale and, at every N ≤ 200 (the low-N
-//! band where a naive bucket index historically regressed), every
-//! section holds ≥ 0.9x of brute — end-to-end keeps its stricter 0.95x
-//! floor, and the geometry kernel is judged on its `auto` column.
+//! `--quick` shrinks the simulated horizon at N ≥ 500 and caps the ladder
+//! at N = 1000 for CI; the measured ratios are the same, just noisier.
+//! Every section times its compared modes interleaved, one run of each
+//! per round; it reports each mode's fastest round, and as the speedup
+//! the median of the per-round paired ratios (so a speedup is not the
+//! quotient of the two listed times).  `--check` turns the report into
+//! a regression gate: exit 1 unless digests match at every scale and,
+//! at every N ≤ 200 (the low-N band where a naive bucket index
+//! historically regressed), every section holds ≥ 0.9x of brute —
+//! end-to-end keeps its stricter 0.95x floor, and the geometry kernel is
+//! judged on its `auto` column.
 
 use ecgrid_bench::core_scaling::{
     broadcast_round_auto, broadcast_round_brute, broadcast_round_grid, build_index, build_world,
     carrier_sense_round, discovery_sweep, field_side, loaded_channel, placements, run_end_to_end_parallel,
-    EndToEnd, QUICK_MAX_N, SCALES,
+    QUICK_MAX_N, SCALES,
 };
 use manet::{host_parallelism, NeighborIndex};
 use runner::write_atomic;
@@ -50,37 +55,98 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-/// Time `f` over `reps` repetitions and return the *minimum* wall time in
-/// nanoseconds (minimum-of-reps is the standard noise floor estimator for
-/// short deterministic kernels).
-fn time_ns(reps: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut check = 0u64;
-    for _ in 0..reps.max(2) {
-        let start = Instant::now();
-        check = f();
-        let ns = start.elapsed().as_nanos() as f64;
-        if ns < best {
-            best = ns;
+/// The fastest of one mode's per-round timings: the reported wall time
+/// (minimum-of-reps is the standard noise floor estimator for short
+/// deterministic kernels).
+fn fastest(rounds: &[f64]) -> f64 {
+    rounds.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// Speedup of `new` over `base`: the median over rounds of the paired
+/// ratio `base / new`.  Each round times both modes back to back, so the
+/// ratio cancels whatever the host was doing that round, and the median
+/// drops the rounds a slow spell split down the middle.
+fn paired_speedup(base: &[f64], new: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = base.iter().zip(new).map(|(b, n)| b / n).collect();
+    ratios.sort_by(f64::total_cmp);
+    match ratios.len() {
+        0 => f64::NAN,
+        k if k % 2 == 1 => ratios[k / 2],
+        k => (ratios[k / 2 - 1] + ratios[k / 2]) / 2.0,
+    }
+}
+
+/// Run several kernels over `reps` rounds and return each one's timing
+/// in every round, with its first result.  Every round runs each kernel
+/// once, in a kernel order rotated per round, so the compared modes
+/// share the host's conditions: a slow spell costs one round of every
+/// mode instead of a block of one mode's reps.  Each call returns its
+/// own timing, so a kernel times only the part it measures.  The kernels
+/// are deterministic, so every later result must equal the first.
+fn time_interleaved<T: PartialEq + std::fmt::Debug, const M: usize>(
+    reps: usize,
+    kernels: [&mut dyn FnMut() -> (f64, T); M],
+) -> [(Vec<f64>, T); M] {
+    let mut out: [(Vec<f64>, Option<T>); M] = std::array::from_fn(|_| (Vec::new(), None));
+    for round in 0..reps.max(2) {
+        for j in 0..M {
+            let k = (j + round) % M;
+            let (time, result) = (kernels[k])();
+            out[k].0.push(time);
+            match &out[k].1 {
+                Some(first) => assert_eq!(&result, first, "kernel {k} is nondeterministic"),
+                None => out[k].1 = Some(result),
+            }
         }
     }
-    (best, check)
+    out.map(|(rounds, first)| (rounds, first.expect("at least one round")))
+}
+
+/// A micro kernel timed per call (ns) over `batch` back-to-back calls,
+/// which keeps sub-microsecond kernels warm and well above the timer's
+/// resolution.
+fn batched(batch: usize, mut kernel: impl FnMut() -> u64) -> impl FnMut() -> (f64, u64) {
+    let batch = batch.max(1);
+    move || {
+        let start = Instant::now();
+        let mut sum = 0;
+        for _ in 0..batch {
+            sum = kernel();
+        }
+        (start.elapsed().as_nanos() as f64 / batch as f64, sum)
+    }
+}
+
+/// One end-to-end run timed by its simulated run alone (s), with its
+/// digest and event count.  `shards: None` is the serial engine.
+fn e2e(
+    n: usize,
+    secs: f64,
+    seed: u64,
+    mode: NeighborIndex,
+    shards: Option<usize>,
+    threads: usize,
+) -> impl FnMut() -> (f64, (u64, u64)) {
+    move || {
+        let r = run_end_to_end_parallel(n, secs, mode, seed, shards, threads);
+        (r.wall_s, (r.digest, r.events))
+    }
 }
 
 struct ScaleReport {
     n: usize,
     field_m: f64,
-    rd_brute_ns: f64,
-    rd_grid_ns: f64,
-    gk_brute_ns: f64,
-    gk_grid_ns: f64,
-    gk_auto_ns: f64,
-    cs_brute_ns: f64,
-    cs_grid_ns: f64,
-    e2e_brute_s: f64,
-    e2e_grid_s: f64,
-    e2e_par_s: f64,
-    e2e_thr_s: f64,
+    rd_brute_ns: Vec<f64>,
+    rd_grid_ns: Vec<f64>,
+    gk_brute_ns: Vec<f64>,
+    gk_grid_ns: Vec<f64>,
+    gk_auto_ns: Vec<f64>,
+    cs_brute_ns: Vec<f64>,
+    cs_grid_ns: Vec<f64>,
+    e2e_brute_s: Vec<f64>,
+    e2e_grid_s: Vec<f64>,
+    e2e_par_s: Vec<f64>,
+    e2e_thr_s: Vec<f64>,
     e2e_events: u64,
     digest_match: bool,
 }
@@ -93,28 +159,28 @@ const PAR_THREADS: usize = 4;
 
 impl ScaleReport {
     fn rd_speedup(&self) -> f64 {
-        self.rd_brute_ns / self.rd_grid_ns
+        paired_speedup(&self.rd_brute_ns, &self.rd_grid_ns)
     }
     fn gk_speedup(&self) -> f64 {
-        self.gk_brute_ns / self.gk_grid_ns
+        paired_speedup(&self.gk_brute_ns, &self.gk_grid_ns)
     }
     /// The adaptive round vs brute — the number the low-N gate holds.
     fn gk_auto_speedup(&self) -> f64 {
-        self.gk_brute_ns / self.gk_auto_ns
+        paired_speedup(&self.gk_brute_ns, &self.gk_auto_ns)
     }
     fn cs_speedup(&self) -> f64 {
-        self.cs_brute_ns / self.cs_grid_ns
+        paired_speedup(&self.cs_brute_ns, &self.cs_grid_ns)
     }
     fn e2e_speedup(&self) -> f64 {
-        self.e2e_brute_s / self.e2e_grid_s
+        paired_speedup(&self.e2e_brute_s, &self.e2e_grid_s)
     }
     /// Sharded engine vs the serial grid-mode run (same scenario).
     fn par_speedup(&self) -> f64 {
-        self.e2e_grid_s / self.e2e_par_s
+        paired_speedup(&self.e2e_grid_s, &self.e2e_par_s)
     }
     /// Threaded engine vs the sharded single-lane run (same scenario).
     fn thr_speedup(&self) -> f64 {
-        self.e2e_par_s / self.e2e_thr_s
+        paired_speedup(&self.e2e_par_s, &self.e2e_thr_s)
     }
 }
 
@@ -153,35 +219,35 @@ fn render_json(quick: bool, scales: &[ScaleReport]) -> String {
         let _ = writeln!(
             s,
             "      \"receiver_discovery\": {{\"brute_round_ns\": {}, \"grid_round_ns\": {}, \"speedup\": {}}},",
-            json_f(r.rd_brute_ns),
-            json_f(r.rd_grid_ns),
+            json_f(fastest(&r.rd_brute_ns)),
+            json_f(fastest(&r.rd_grid_ns)),
             json_f(r.rd_speedup())
         );
         let _ = writeln!(
             s,
             "      \"geometry_kernel\": {{\"brute_round_ns\": {}, \"grid_round_ns\": {}, \"speedup\": {}, \"auto_round_ns\": {}, \"auto_speedup\": {}}},",
-            json_f(r.gk_brute_ns),
-            json_f(r.gk_grid_ns),
+            json_f(fastest(&r.gk_brute_ns)),
+            json_f(fastest(&r.gk_grid_ns)),
             json_f(r.gk_speedup()),
-            json_f(r.gk_auto_ns),
+            json_f(fastest(&r.gk_auto_ns)),
             json_f(r.gk_auto_speedup())
         );
         let _ = writeln!(
             s,
             "      \"carrier_sense\": {{\"brute_round_ns\": {}, \"grid_round_ns\": {}, \"speedup\": {}}},",
-            json_f(r.cs_brute_ns),
-            json_f(r.cs_grid_ns),
+            json_f(fastest(&r.cs_brute_ns)),
+            json_f(fastest(&r.cs_grid_ns)),
             json_f(r.cs_speedup())
         );
         let _ = writeln!(
             s,
             "      \"end_to_end\": {{\"brute_wall_s\": {}, \"grid_wall_s\": {}, \"speedup\": {}, \"parallel_wall_s\": {}, \"parallel_shards\": {PAR_SHARDS}, \"parallel_speedup\": {}, \"threads\": {PAR_THREADS}, \"threaded_wall_s\": {}, \"threaded_speedup\": {}, \"events\": {}, \"digest_match\": {}}}",
-            json_f(r.e2e_brute_s),
-            json_f(r.e2e_grid_s),
+            json_f(fastest(&r.e2e_brute_s)),
+            json_f(fastest(&r.e2e_grid_s)),
             json_f(r.e2e_speedup()),
-            json_f(r.e2e_par_s),
+            json_f(fastest(&r.e2e_par_s)),
             json_f(r.par_speedup()),
-            json_f(r.e2e_thr_s),
+            json_f(fastest(&r.e2e_thr_s)),
             json_f(r.thr_speedup()),
             r.e2e_events,
             r.digest_match
@@ -191,29 +257,6 @@ fn render_json(quick: bool, scales: &[ScaleReport]) -> String {
     let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     s
-}
-
-/// Run the end-to-end scenario `reps` times and keep the fastest wall
-/// time (small-N runs are sub-second, where scheduler noise dominates).
-/// Digests must agree across repetitions — the runs are deterministic.
-fn e2e_best_of(
-    reps: usize,
-    n: usize,
-    secs: f64,
-    mode: NeighborIndex,
-    seed: u64,
-    shards: Option<usize>,
-    threads: usize,
-) -> EndToEnd {
-    let mut best = run_end_to_end_parallel(n, secs, mode, seed, shards, threads);
-    for _ in 1..reps {
-        let r = run_end_to_end_parallel(n, secs, mode, seed, shards, threads);
-        assert_eq!(r.digest, best.digest, "n={n}: nondeterministic end-to-end run");
-        if r.wall_s < best.wall_s {
-            best = r;
-        }
-    }
-    best
 }
 
 fn main() {
@@ -226,7 +269,6 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_core.json".into());
 
-    let base_reps = if quick { 5 } else { 20 };
     let seed = 42;
     let scales: Vec<usize> = SCALES
         .iter()
@@ -239,12 +281,15 @@ fn main() {
         // the brute rounds are O(N²) — past 1k hosts a handful of reps
         // already dwarfs the noise floor; tiny populations are the
         // opposite problem (microsecond rounds under a 0.9x gate), so
-        // they get a deeper min-of to push timer noise below the floor
+        // they get many rounds of batched calls to push timer noise below
+        // the floor.  Quick mode keeps the full depth: micro rounds cost
+        // microseconds to milliseconds, and the gates judge these scales.
         let micro_reps = match n {
             n if n > 1000 => 3,
-            n if n <= 200 => base_reps * 10,
-            _ => base_reps,
+            n if n <= 200 => 200,
+            _ => 20,
         };
+        let micro_batch = if n <= 200 { 8 } else { 1 };
         // small populations simulate in milliseconds, where timer noise
         // swamps any real mode difference — stretch their horizon so the
         // wall times are tens of milliseconds; shrink it at the top of
@@ -255,29 +300,40 @@ fn main() {
             _ if quick => 10.0,
             _ => 30.0,
         };
-        // short runs at small N additionally need best-of to beat noise;
-        // the mid-ladder gets best-of-2 (single-digit-second runs still
-        // wobble a few percent under scheduler noise)
+        // short runs additionally need many rounds to beat noise, and
+        // the gated band (N ≤ 1000) gets enough of them that one slow
+        // spell of the host cannot decide a ratio; the top of the ladder
+        // keeps three, so no engine comparison rests on a single run
         let e2e_reps = match n {
-            n if n <= 200 => 5,
-            n if n <= 1000 => 2,
-            _ => 1,
+            n if n <= 200 => 15,
+            n if n <= 1000 => 4,
+            _ => 3,
         };
         eprintln!("bench_core: n={n} (field {:.0} m)", field_side(n));
         let pts = placements(n, seed);
         let idx = build_index(&pts, n);
-        let mut scratch = Vec::new();
+        let (mut scratch_g, mut scratch_a) = (Vec::new(), Vec::new());
 
-        let (gk_brute_ns, sum_b) = time_ns(micro_reps, || broadcast_round_brute(&pts));
-        let (gk_grid_ns, sum_g) = time_ns(micro_reps, || broadcast_round_grid(&pts, &idx, &mut scratch));
+        let [(gk_brute_ns, sum_b), (gk_grid_ns, sum_g), (gk_auto_ns, sum_a)] = time_interleaved(
+            micro_reps,
+            [
+                &mut batched(micro_batch, || broadcast_round_brute(&pts)),
+                &mut batched(micro_batch, || broadcast_round_grid(&pts, &idx, &mut scratch_g)),
+                &mut batched(micro_batch, || broadcast_round_auto(&pts, &idx, &mut scratch_a)),
+            ],
+        );
         assert_eq!(sum_b, sum_g, "n={n}: receiver sets diverged");
-        let (gk_auto_ns, sum_a) = time_ns(micro_reps, || broadcast_round_auto(&pts, &idx, &mut scratch));
         assert_eq!(sum_b, sum_a, "n={n}: adaptive receiver set diverged");
 
         let w_brute = build_world(n, 1.0, NeighborIndex::Brute, seed);
         let w_grid = build_world(n, 1.0, NeighborIndex::Grid, seed);
-        let (rd_brute_ns, sw_b) = time_ns(micro_reps, || discovery_sweep(&w_brute));
-        let (rd_grid_ns, sw_g) = time_ns(micro_reps, || discovery_sweep(&w_grid));
+        let [(rd_brute_ns, sw_b), (rd_grid_ns, sw_g)] = time_interleaved(
+            micro_reps,
+            [
+                &mut batched(micro_batch, || discovery_sweep(&w_brute)),
+                &mut batched(micro_batch, || discovery_sweep(&w_grid)),
+            ],
+        );
         assert_eq!(sw_b, sw_g, "n={n}: simulator discovery sweeps diverged");
 
         // channel load scales with population: ~6% of hosts on the air.
@@ -291,36 +347,33 @@ fn main() {
         let spatial = n > ecgrid_bench::core_scaling::channel_spatial_threshold();
         let plain = loaded_channel(&pts, k, n, false);
         let fast = loaded_channel(&pts, k, n, spatial);
-        let (cs_brute_ns, cs_b) = time_ns(micro_reps, || carrier_sense_round(&plain, &pts));
-        let (cs_grid_ns, cs_g) = time_ns(micro_reps, || carrier_sense_round(&fast, &pts));
+        let [(cs_brute_ns, cs_b), (cs_grid_ns, cs_g)] = time_interleaved(
+            micro_reps,
+            [
+                &mut batched(micro_batch, || carrier_sense_round(&plain, &pts)),
+                &mut batched(micro_batch, || carrier_sense_round(&fast, &pts)),
+            ],
+        );
         assert_eq!(cs_b, cs_g, "n={n}: carrier-sense verdicts diverged");
 
-        let brute = e2e_best_of(e2e_reps, n, e2e_secs, NeighborIndex::Brute, seed, None, 1);
-        let grid = e2e_best_of(e2e_reps, n, e2e_secs, NeighborIndex::Grid, seed, None, 1);
-        let par = e2e_best_of(
+        let [(brute_s, brute), (grid_s, grid), (par_s, par), (thr_s, thr)] = time_interleaved(
             e2e_reps,
-            n,
-            e2e_secs,
-            NeighborIndex::Grid,
-            seed,
-            Some(PAR_SHARDS),
-            1,
+            [
+                &mut e2e(n, e2e_secs, seed, NeighborIndex::Brute, None, 1),
+                &mut e2e(n, e2e_secs, seed, NeighborIndex::Grid, None, 1),
+                &mut e2e(n, e2e_secs, seed, NeighborIndex::Grid, Some(PAR_SHARDS), 1),
+                &mut e2e(
+                    n,
+                    e2e_secs,
+                    seed,
+                    NeighborIndex::Grid,
+                    Some(PAR_SHARDS),
+                    PAR_THREADS,
+                ),
+            ],
         );
-        let thr = e2e_best_of(
-            e2e_reps,
-            n,
-            e2e_secs,
-            NeighborIndex::Grid,
-            seed,
-            Some(PAR_SHARDS),
-            PAR_THREADS,
-        );
-        let digest_match = brute.digest == grid.digest
-            && brute.events == grid.events
-            && par.digest == grid.digest
-            && par.events == grid.events
-            && thr.digest == grid.digest
-            && thr.events == grid.events;
+        // (digest, events) of every column must equal the serial grid run
+        let digest_match = brute == grid && par == grid && thr == grid;
         assert!(digest_match, "n={n}: end-to-end digests diverged across modes");
 
         let r = ScaleReport {
@@ -333,11 +386,11 @@ fn main() {
             gk_auto_ns,
             cs_brute_ns,
             cs_grid_ns,
-            e2e_brute_s: brute.wall_s,
-            e2e_grid_s: grid.wall_s,
-            e2e_par_s: par.wall_s,
-            e2e_thr_s: thr.wall_s,
-            e2e_events: grid.events,
+            e2e_brute_s: brute_s,
+            e2e_grid_s: grid_s,
+            e2e_par_s: par_s,
+            e2e_thr_s: thr_s,
+            e2e_events: grid.1,
             digest_match,
         };
         eprintln!(

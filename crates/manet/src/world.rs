@@ -14,7 +14,7 @@ use mobility::MobilityTrace;
 use radio::frame::FrameMeta;
 use radio::{
     auto_gather_threshold, ChannelState, FrameKind, GatherFallback, NeighborIndex, NodeId, PageSignal,
-    ShardMap, ShardedChannel, SpatialIndex,
+    ShardMap, ShardedChannel, SpatialIndex, CHANNEL_GC_GRACE, CHANNEL_GC_STRIDE,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -25,9 +25,6 @@ use sim_engine::{
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use trace::{Event as TraceEvent, EventKind, FaultKind, Recorder, TraceDigest, TraceMode};
-
-/// How long ended transmissions are kept for collision back-checks.
-const CHANNEL_GC_GRACE: SimDuration = SimDuration(50_000_000); // 50 ms
 
 /// Scenario per-group GPS error: offset `(dx, dy)` in meters for `node`
 /// at `t_ns`, piecewise constant over 1 s (a consumer-GPS fix rate).
@@ -51,15 +48,6 @@ fn scenario_gps_offset(seed: u64, node: u32, sigma_m: f64, t_ns: u64) -> (f64, f
     let theta = std::f64::consts::TAU * draw("scenario.gps_a");
     (r * theta.cos(), r * theta.sin())
 }
-
-/// Epoch-barrier maintenance cadence of the sharded engine (sim time):
-/// per-shard channel gc runs when the merged clock crosses this stride,
-/// instead of twice per transmission like the serial channel.  Retaining
-/// ended transmissions longer is invisible to results — carrier-sense and
-/// collision checks filter candidates by time — so the cadence is purely
-/// a memory/scan-length trade (a quarter of the gc grace keeps per-shard
-/// in-flight lists within ~2x of the serial channel's).
-const SHARD_GC_STRIDE: SimDuration = SimDuration(CHANNEL_GC_GRACE.0 / 4);
 
 /// Interface queue depth (frames); the tail is dropped beyond this.
 const MAC_QUEUE_CAP: usize = 128;
@@ -342,21 +330,8 @@ impl WorldChannel {
         }
     }
 
-    /// The serial channel's historical per-transmission gc.  The sharded
-    /// channel skips it — ended entries are pruned at epoch barriers
-    /// instead, which is invisible to query results (both `busy_until`
-    /// and `corrupted` filter candidates by time, so entries retained
-    /// longer never change an answer) but removes the dominant
-    /// per-transmission cost at scale: the gc's index rebuild.
-    #[inline]
-    fn gc_tx_path(&mut self, before: SimTime) {
-        match self {
-            WorldChannel::Serial(c) => c.gc_before(before),
-            WorldChannel::Sharded(_) => {}
-        }
-    }
-
-    /// Epoch-barrier maintenance: prune every shard channel.
+    /// Barrier maintenance: prune every ended transmission older than
+    /// `before` (every shard channel on the sharded engine).
     fn gc_barrier(&mut self, before: SimTime) {
         match self {
             WorldChannel::Serial(c) => c.gc_before(before),
@@ -374,7 +349,7 @@ impl WorldChannel {
 }
 
 /// Shard bookkeeping of a parallel world: the strip partition, per-shard
-/// host membership, and barrier/migration counters.  Ownership of a host
+/// host membership, and the migration counter.  Ownership of a host
 /// is a *function* of its maintained grid cell (`ShardMap::shard_of_col`)
 /// plus these membership counts — the SoA columns stay dense and
 /// id-indexed, because every hot loop (receiver gather, energy folds)
@@ -386,14 +361,7 @@ struct ShardRuntime {
     map: ShardMap,
     /// Live (not dead-handled) hosts per shard.
     members: Vec<u32>,
-    /// Conservative lookahead bounding an epoch: the smallest interval
-    /// the MAC or RAS can react across (min of SIFS, slot, DIFS, and the
-    /// RAS wake latency).  Barrier maintenance runs every
-    /// `max(lookahead, SHARD_GC_STRIDE)` of virtual time.
-    stride: SimDuration,
-    next_gc: SimTime,
     migrations: u64,
-    barriers: u64,
 }
 
 /// Diagnostic counters of a parallel world (see [`World::shard_stats`]).
@@ -571,6 +539,12 @@ pub struct World<P: Protocol> {
     channel: WorldChannel,
     /// `Some` iff running the sharded conservative-sync engine.
     shards: Option<ShardRuntime>,
+    /// Channel-gc clock: the run loop's barrier prunes the channel when
+    /// the clock reaches `next_gc`, then re-arms it `CHANNEL_GC_STRIDE`
+    /// later.
+    next_gc: SimTime,
+    /// Barriers taken (gc maintenance points).
+    gc_barriers: u64,
     flights: HashMap<u64, Flight<P::Msg>>,
     flows: traffic::FlowSet,
     ledger: PacketLedger,
@@ -754,20 +728,10 @@ impl<P: Protocol> World<P> {
             for c in &soa.cells {
                 members[map.shard_of_col(c.x)] += 1;
             }
-            let lookahead = cfg
-                .mac
-                .sifs
-                .min(cfg.mac.slot)
-                .min(cfg.mac.difs)
-                .min(cfg.ras.wake_latency);
-            let stride = lookahead.max(SHARD_GC_STRIDE);
             Some(ShardRuntime {
                 map,
                 members,
-                stride,
-                next_gc: SimTime::ZERO + stride,
                 migrations: 0,
-                barriers: 0,
             })
         } else {
             None
@@ -778,6 +742,8 @@ impl<P: Protocol> World<P> {
             sched,
             channel,
             shards,
+            next_gc: SimTime::ZERO + CHANNEL_GC_STRIDE,
+            gc_barriers: 0,
             flights: HashMap::new(),
             flows,
             ledger: PacketLedger::new(),
@@ -973,7 +939,7 @@ impl<P: Protocol> World<P> {
             threads: self.threads,
             members: sr.members.clone(),
             migrations: sr.migrations,
-            barriers: sr.barriers,
+            barriers: self.gc_barriers,
             mirrored_tx: self.channel.mirrored(),
         })
     }
@@ -1180,19 +1146,17 @@ impl<P: Protocol> World<P> {
                 prof.bump(ev.domain());
                 prof.observe_depth(depth);
             }
-            // Epoch barrier of the sharded engine: when the merged clock
-            // crosses the stride, prune every shard channel of entries
-            // older than the collision-back-check grace.  Timing of the
-            // prune is invisible to results (queries filter by time);
-            // amortizing it here is where the parallel speedup lives.
-            if let Some(sr) = &mut self.shards {
-                if t >= sr.next_gc {
-                    if t > SimTime::ZERO + CHANNEL_GC_GRACE {
-                        self.channel.gc_barrier(t - CHANNEL_GC_GRACE);
-                    }
-                    sr.barriers += 1;
-                    sr.next_gc = t + sr.stride;
+            // Epoch barrier: when the clock crosses the stride, prune the
+            // channel of entries older than the collision-back-check grace.
+            // Timing of the prune is invisible to results (queries filter
+            // by time); amortizing it here instead of pruning on every
+            // transmission spares the channel's index rebuilds.
+            if t >= self.next_gc {
+                if t > SimTime::ZERO + CHANNEL_GC_GRACE {
+                    self.channel.gc_barrier(t - CHANNEL_GC_GRACE);
                 }
+                self.gc_barriers += 1;
+                self.next_gc = t + CHANNEL_GC_STRIDE;
             }
             match ev {
                 Event::EndOfRun => break,
@@ -1815,9 +1779,6 @@ impl<P: Protocol> World<P> {
             self.hosts.macs[i].phase = MacPhase::Idle;
             return;
         }
-        if now > SimTime::ZERO + CHANNEL_GC_GRACE {
-            self.channel.gc_tx_path(now - CHANNEL_GC_GRACE);
-        }
         let sh = self.shard_of_node(node);
         let pos = self.hosts.traces[i].position_at(now);
         if let Some(busy_end) = self.channel.busy_until(sh, pos, now) {
@@ -2175,9 +2136,6 @@ impl<P: Protocol> World<P> {
         let mut recv = flight.receivers;
         recv.clear();
         self.recv_pool.push(recv);
-        if now > SimTime::ZERO + CHANNEL_GC_GRACE {
-            self.channel.gc_tx_path(now - CHANNEL_GC_GRACE);
-        }
     }
 
     fn ack_done(&mut self, node: NodeId, ok: bool) {

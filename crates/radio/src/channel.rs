@@ -9,7 +9,7 @@
 use crate::frame::NodeId;
 use crate::spatial::SpatialIndex;
 use geo::Point2;
-use sim_engine::SimTime;
+use sim_engine::{SimDuration, SimTime};
 
 /// One transmission on the air.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,10 +29,11 @@ pub struct Transmission {
 
 /// Tracks in-flight (and recently-ended) transmissions.
 ///
-/// `gc_before` must be called periodically (the simulator does it on every
-/// transmission end) so the active list stays small; queries are linear in
-/// the number of live transmissions, which at the paper's offered load is
-/// a handful.
+/// `gc_before` must be called periodically so the active list stays small
+/// (the simulator prunes at epoch barriers, every [`CHANNEL_GC_STRIDE`] of
+/// virtual time); queries are linear in the number of live transmissions,
+/// which at the paper's offered load is a handful.  When the prune runs
+/// never changes an answer: both queries filter candidates by time.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelState {
     active: Vec<Transmission>,
@@ -56,6 +57,21 @@ pub struct ChannelState {
 
 /// ns-2's default capture threshold (10 dB) under d⁻⁴ path loss.
 pub const CAPTURE_RATIO_10DB: f64 = 1.7782794100389228;
+
+/// How long ended transmissions are kept for collision back-checks: the
+/// simulator prunes entries that ended more than this long ago.  A
+/// reception is checked against its interferers when it ends, so every
+/// frame shorter than the grace still finds all of its overlaps.
+pub const CHANNEL_GC_GRACE: SimDuration = SimDuration(50_000_000); // 50 ms
+
+/// The simulator's channel-gc cadence (sim time): its run loop prunes
+/// ended transmissions when the clock crosses this stride, on both
+/// engines (the sharded one floors it at its lookahead).  Retaining ended
+/// transmissions longer is invisible to results — carrier-sense and
+/// collision checks filter candidates by time — so the cadence is purely
+/// a memory/scan-length trade: a quarter of the grace keeps at most
+/// `GRACE + STRIDE` (1.25x the grace) of ended transmissions live.
+pub const CHANNEL_GC_STRIDE: SimDuration = SimDuration(CHANNEL_GC_GRACE.0 / 4);
 
 /// Live-transmission count at or below which channel queries take the
 /// linear scan even when the bucket index is enabled.  Nine bucket headers
@@ -166,9 +182,9 @@ impl ChannelState {
         let before = self.active.len();
         self.active.retain(|t| t.end > now);
         // The bucket index stores positions within `active`, which retain
-        // just shifted — rebuild it.  At the paper's offered load only a
-        // handful of transmissions are ever live, so this is cheap, and gc
-        // runs once per transmission end rather than per query.
+        // just shifted — rebuild it.  The simulator prunes once per epoch
+        // barrier rather than per transmission, so the rebuild amortizes
+        // over every transmission of the stride.
         if let Some(sp) = &mut self.spatial {
             if self.active.len() != before {
                 sp.clear();

@@ -26,7 +26,7 @@ pub mod ras;
 pub mod shard;
 pub mod spatial;
 
-pub use channel::{ChannelState, Transmission};
+pub use channel::{ChannelState, Transmission, CHANNEL_GC_GRACE, CHANNEL_GC_STRIDE};
 pub use frame::{FrameKind, FrameMeta, NodeId};
 pub use mac::MacConfig;
 pub use ras::{PageSignal, RasConfig};
